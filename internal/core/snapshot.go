@@ -14,7 +14,10 @@ package core
 // label-based checkers are reconstructed from their recorded per-state
 // labels (no relabelAll, the dominant cost). The learned
 // wrong-pattern/SAT/dead-set stores ride along as the plan cache's JSON
-// snapshot.
+// snapshot when a cache is attached; the server pool detaches its shared
+// cache before capturing an eviction image (the store outlives the
+// session, so the section stays empty) and fills it only in images that
+// leave the process.
 //
 // Format (all integers varint-encoded unless noted):
 //
@@ -31,7 +34,8 @@ package core
 //	         atomic subformula, so the sparse form is a handful of
 //	         entries); then #successors total and the per-state
 //	         successor lists
-//	cache:   flag, then the PlanCacheSnapshot JSON blob
+//	cache:   flag (0 = no cache attached), then when set the
+//	         PlanCacheSnapshot JSON blob
 //	sha256 checksum of everything above (raw 32 bytes)
 //
 // Label ids are private to the exporting table, so the decoder re-interns

@@ -74,11 +74,13 @@ func (o PoolOptions) queueDepth() int {
 // tenant is the pool's runtime state for one registered scenario.
 //
 // Locking: the pool mutex guards the tenant map, the LRU list, and every
-// tenant's sess/elem fields. The per-tenant gate (a 1-slot semaphore)
-// serializes synthesis — core.Session is single-flight — and also
-// protects cur, which only advances while the gate is held. Eviction
-// takes a tenant's gate non-blockingly, so a session is never torn down
-// under a running synthesis.
+// tenant's sess/elem/snap fields. The per-tenant gate (a 1-slot
+// semaphore) serializes synthesis — core.Session is single-flight — and
+// also protects cur, which only advances while the gate is held.
+// Eviction takes a tenant's gate non-blockingly, so a session is never
+// torn down under a running synthesis, and keeps it until the eviction
+// image is published, so a request for the victim always finds either
+// the session or its image.
 type tenant struct {
 	id   string
 	spec *TenantSpec
@@ -105,6 +107,8 @@ type tenant struct {
 	// capture failed or after a restore consumed it); guarded by the pool
 	// mutex like sess. It makes eviction cheap to undo: the next request
 	// restores the warm state instead of rebuilding and re-warming it.
+	// It carries no plan cache: the tenant's shared store (learnID) stays
+	// in the pool and is re-attached on restore.
 	snap []byte
 
 	snapRestores atomic.Int64 // rebuilds served by snapshot restore
@@ -131,6 +135,9 @@ type Pool struct {
 	lru      *list.List // of *tenant, front = hottest; warm tenants only
 	closed   bool
 	inflight sync.WaitGroup
+	// warm mirrors lru.Len() for the lock-free budget check in release;
+	// written under mu.
+	warm atomic.Int64
 
 	// learn holds the shared verification-first plan caches, keyed by
 	// learning fingerprint (see learn.go); tenants with the same scenario
@@ -149,6 +156,10 @@ type Pool struct {
 	// worker slot are held, just before the engine runs. Nil in
 	// production.
 	beforeSynthesize func(tenantID string)
+	// beforeCapture is a test seam invoked by an eviction pass after it
+	// has unlinked its victims and released the pool mutex, just before
+	// their images are encoded. Nil in production.
+	beforeCapture func()
 }
 
 // NewPool builds an empty pool.
@@ -246,9 +257,8 @@ func (p *Pool) Register(spec *TenantSpec) (*TenantInfo, error) {
 	t.sess = sess
 	t.elem = p.lru.PushFront(t)
 	p.tenants[id] = t
-	p.evictLocked()
 	info := p.infoLocked(t, true)
-	p.mu.Unlock()
+	p.evictAndUnlock()
 	return info, nil
 }
 
@@ -314,7 +324,7 @@ func (p *Pool) Synthesize(ctx context.Context, id string, delta *config.StreamDe
 	case <-ctx.Done():
 		return nil, p.expireErr(ctx, t)
 	}
-	defer func() { <-t.gate }()
+	defer p.release(t)
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
@@ -429,7 +439,7 @@ func (p *Pool) Ack(ctx context.Context, id string, ack *StepAck) (*core.Plan, er
 	case <-ctx.Done():
 		return nil, p.expireErr(ctx, t)
 	}
-	defer func() { <-t.gate }()
+	defer p.release(t)
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
@@ -540,8 +550,10 @@ func isCanceled(err error) bool { return errors.Is(err, core.ErrCanceled) }
 // shared arena, recorded transition relations, and interned labels skip
 // state enumeration, table application, and relabeling — and falls back
 // to a cold build from the stored spec when the snapshot is missing,
-// rejected, or out of step with the tenant's configuration. A build
-// beyond the budget evicts the least-recently-used idle session.
+// rejected, or out of step with the tenant's configuration. Either way
+// the tenant's shared plan cache is attached as is: eviction images
+// carry no cache, so there is nothing to decode or merge. A build beyond
+// the budget evicts the least-recently-used idle session.
 func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 	p.mu.Lock()
 	if t.sess != nil {
@@ -575,7 +587,7 @@ func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 			return nil, err
 		}
 	}
-	p.attachLearning(t, sess, restored)
+	p.attachLearning(t, sess)
 	if t.builds.Add(1) > 1 {
 		p.m.rebuilds.Inc()
 	}
@@ -588,54 +600,88 @@ func (p *Pool) ensureWarm(t *tenant) (*core.Session, error) {
 	t.snap = nil // consumed (or superseded by the fresh session)
 	t.sess = sess
 	t.elem = p.lru.PushFront(t)
-	p.evictLocked()
-	p.mu.Unlock()
+	p.evictAndUnlock()
 	return sess, nil
 }
 
-// attachLearning points a rebuilt session at the tenant's shared plan
-// cache. A restored session carries the cache image embedded in its
-// snapshot; its entries are merged into the shared store first (existing
-// entries win — they are at least as fresh), which matters when the
-// snapshot crossed processes via tenant migration.
-func (p *Pool) attachLearning(t *tenant, sess *core.Session, restored bool) {
-	if t.learnID == "" {
-		return
+// attachLearning points a session at the tenant's shared plan cache,
+// superseding any cache image the session was restored with.
+func (p *Pool) attachLearning(t *tenant, sess *core.Session) {
+	if t.learnID != "" {
+		sess.SetCache(p.learn.get(t.learnID))
 	}
-	shared := p.learn.get(t.learnID)
-	if restored {
-		if c := sess.Cache(); c != nil {
-			_ = shared.Restore(c.Snapshot())
-		}
-	}
-	sess.SetCache(shared)
 }
 
-// evictLocked enforces the warm-session budget: walk the LRU from the
-// cold end, dropping sessions whose tenants are idle (their gate can be
-// taken without blocking) until the budget holds. Busy tenants are
-// skipped — a session is never torn down mid-synthesis — so the budget is
-// soft under extreme concurrency and re-enforced as gates free up. Each
-// evicted session leaves a compact snapshot behind so the next request
-// restores warm state instead of paying a cold rebuild; a failed capture
-// leaves no snapshot and the tenant rebuilds cold.
-func (p *Pool) evictLocked() {
+// release frees a tenant's gate and re-enforces the warm-session budget
+// that an eviction pass may have left exceeded while this tenant was busy.
+// Within budget it costs one atomic load. The order — free the gate, then
+// read warm — pairs with evictAndUnlock publishing warm before it probes
+// gates: either that pass finds this gate free, or this load sees its
+// over-budget count.
+func (p *Pool) release(t *tenant) {
+	<-t.gate
+	if p.warm.Load() > int64(p.opts.maxSessions()) {
+		p.mu.Lock()
+		p.evictAndUnlock()
+	}
+}
+
+// evictAndUnlock enforces the warm-session budget and releases p.mu,
+// which the caller must hold. It walks the LRU from the cold end, taking
+// the gates of idle tenants without blocking and unlinking them, until
+// the budget holds. Busy tenants are skipped — a session is never torn
+// down mid-synthesis — and re-checked when their gate is released
+// (release). The victims' images are then encoded off the pool lock, so
+// one tenant's eviction does not stall every other tenant's admission,
+// and published under it before the gates are freed. An image leaves the
+// plan cache out: the tenant's shared store outlives the session, so only
+// what dies with the session is serialized. A failed capture leaves no
+// snapshot and the tenant rebuilds cold.
+func (p *Pool) evictAndUnlock() {
 	budget := p.opts.maxSessions()
+	p.warm.Store(int64(p.lru.Len())) // before probing any gate; see release
+	type victim struct {
+		t    *tenant
+		sess *core.Session
+		img  []byte
+	}
+	var victims []victim
 	for e := p.lru.Back(); e != nil && p.lru.Len() > budget; {
 		prev := e.Prev()
 		t := e.Value.(*tenant)
 		select {
 		case t.gate <- struct{}{}:
-			t.snap, _ = t.sess.Snapshot()
+			victims = append(victims, victim{t: t, sess: t.sess})
 			t.sess = nil
 			t.elem = nil
 			p.lru.Remove(e)
 			p.m.evictions.Inc()
-			<-t.gate
 		default:
 			// In flight (or its caller holds the gate): skip.
 		}
 		e = prev
+	}
+	p.warm.Store(int64(p.lru.Len()))
+	p.mu.Unlock()
+	if len(victims) == 0 {
+		return
+	}
+
+	if hook := p.beforeCapture; hook != nil {
+		hook()
+	}
+	for i := range victims {
+		v := &victims[i]
+		v.sess.SetCache(nil)
+		v.img, _ = v.sess.Snapshot()
+	}
+	p.mu.Lock()
+	for _, v := range victims {
+		v.t.snap = v.img
+	}
+	p.mu.Unlock()
+	for _, v := range victims {
+		<-v.t.gate
 	}
 }
 

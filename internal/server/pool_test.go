@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -360,5 +361,73 @@ func TestPoolSoak(t *testing.T) {
 	}
 	if err := p.Close(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPoolEvictRestore measures the pool's eviction round trip: two
+// ~120-switch tenants share a warm budget of one, so every request
+// restores the cold tenant from its eviction image and evicts the other.
+// Each tenant walks a Gray-code cycle over its first four diamond pairs
+// and then the same cycle backwards — 32 distinct instances — and a
+// warm-up lap caches them all, so the timed requests are replay-verified
+// cache hits and the op is dominated by capturing and restoring session
+// state.
+func BenchmarkPoolEvictRestore(b *testing.B) {
+	loads, err := bench.MakeTenantLoads(2, 120, 0, server.OptionsSpec{}, 41)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := server.NewPool(server.PoolOptions{Workers: 1, MaxSessions: 1})
+	ctx := context.Background()
+	ids := make([]string, len(loads))
+	walks := make([][]config.StreamDelta, len(loads))
+	for i, tl := range loads {
+		info, err := p.Register(tl.Spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = info.ID
+		pairs := tl.Pairs[:min(4, len(tl.Pairs))]
+		states := 1 << len(pairs)
+		gray := func(k int) int { k = (k + states) % states; return k ^ k>>1 }
+		move := func(from, to int) config.StreamDelta {
+			bit := bits.TrailingZeros(uint(from ^ to))
+			path := pairs[bit].A
+			if to&(1<<bit) != 0 {
+				path = pairs[bit].B
+			}
+			return config.StreamDelta{Reroute: []config.Reroute{{Class: pairs[bit].Class, Path: path}}}
+		}
+		for k := 0; k < states; k++ {
+			walks[i] = append(walks[i], move(gray(k), gray(k+1)))
+		}
+		for k := states; k > 0; k-- {
+			walks[i] = append(walks[i], move(gray(k), gray(k-1)))
+		}
+	}
+	step := func(n int) {
+		i := n % len(ids)
+		d := &walks[i][(n/len(ids))%len(walks[i])]
+		if _, err := p.Synthesize(ctx, ids[i], d); err != nil {
+			b.Fatalf("tenant %d: %v", i, err)
+		}
+	}
+	warm := len(ids) * len(walks[0])
+	for n := 0; n < warm; n++ {
+		step(n)
+	}
+	before := p.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		step(warm + n)
+	}
+	b.StopTimer()
+	after := p.Stats()
+	if restores := after.SnapshotRestores - before.SnapshotRestores; restores != int64(b.N) || after.ColdRebuilds != 0 {
+		b.Fatalf("%d restores (%d cold rebuilds) for %d requests", restores, after.ColdRebuilds, b.N)
+	}
+	if hits := after.PlanCacheHits - before.PlanCacheHits; hits != int64(b.N) {
+		b.Fatalf("%d cache hits for %d requests", hits, b.N)
 	}
 }

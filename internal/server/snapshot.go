@@ -10,10 +10,11 @@ import (
 
 // SnapshotTenant serializes one tenant's warm state to the portable
 // session-snapshot format (see internal/core/snapshot.go): Kripke
-// transition relations, interned labels, learned caches, and the current
-// configuration. The snapshot is taken under the tenant's gate, so it is
-// a consistent point between syntheses; an evicted tenant is warmed
-// first (by restore when its eviction snapshot is held, cold otherwise).
+// transition relations, interned labels, the tenant's shared plan cache
+// with its learned state, and the current configuration. The snapshot is
+// taken under the tenant's gate, so it is a consistent point between
+// syntheses; an evicted tenant is warmed first (by restore when its
+// eviction snapshot is held, cold otherwise).
 // This is the export half of tenant migration: the bytes returned here
 // restore byte-identically on any replica registered with the same spec.
 func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
@@ -29,7 +30,7 @@ func (p *Pool) SnapshotTenant(ctx context.Context, id string) ([]byte, error) {
 	case <-ctx.Done():
 		return nil, p.expireErr(ctx, t)
 	}
-	defer func() { <-t.gate }()
+	defer p.release(t)
 
 	sess, err := p.ensureWarm(t)
 	if err != nil {
@@ -63,14 +64,22 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 	case <-ctx.Done():
 		return p.expireErr(ctx, t)
 	}
-	defer func() { <-t.gate }()
+	defer p.release(t)
 
 	res := p.arenas.get(t.arenaFP, t.base.Topo)
 	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, img, res)
 	if err != nil {
 		return fmt.Errorf("server: tenant %s: install snapshot: %w", t.id, err)
 	}
-	p.attachLearning(t, sess, true)
+	// An image from elsewhere may carry learning this pool lacks: merge
+	// its cache into the shared store (existing entries win — they are at
+	// least as fresh) before attaching the store.
+	if t.learnID != "" {
+		if c := sess.Cache(); c != nil {
+			_ = p.learn.get(t.learnID).Restore(c.Snapshot())
+		}
+	}
+	p.attachLearning(t, sess)
 	t.builds.Add(1)
 	t.snapRestores.Add(1)
 	p.m.snapshotRestores.Add(1)
@@ -84,8 +93,7 @@ func (p *Pool) InstallSnapshot(ctx context.Context, id string, img []byte) error
 		t.elem = p.lru.PushFront(t)
 	}
 	t.sess = sess
-	p.evictLocked()
-	p.mu.Unlock()
+	p.evictAndUnlock()
 	return nil
 }
 
@@ -113,44 +121,62 @@ func (p *Pool) TenantSpecOf(id string) (*TenantSpec, error) {
 	return t.spec, nil
 }
 
-// SnapshotAll captures a snapshot per tenant, best effort: warm idle
-// tenants are serialized live, evicted tenants contribute their stored
-// eviction snapshot, and tenants busy mid-synthesis (or failing to
-// serialize) are skipped. The daemon uses this on drain to persist warm
-// state under -snapshot-dir.
+// SnapshotAll captures a portable snapshot per tenant, best effort:
+// warm idle tenants are serialized live, evicted tenants have their
+// cache-less eviction image completed with the shared plan cache
+// (portableImage), and tenants busy mid-synthesis or mid-eviction (or
+// failing to serialize) are skipped. The daemon uses this on drain to
+// persist warm state under -snapshot-dir.
 func (p *Pool) SnapshotAll() map[string][]byte {
 	p.mu.Lock()
-	type item struct {
-		t    *tenant
-		snap []byte
-	}
-	items := make([]item, 0, len(p.tenants))
+	tenants := make([]*tenant, 0, len(p.tenants))
 	for _, t := range p.tenants {
-		items = append(items, item{t: t, snap: t.snap})
+		tenants = append(tenants, t)
 	}
 	p.mu.Unlock()
 
 	out := map[string][]byte{}
-	for _, it := range items {
-		if it.snap != nil {
-			out[it.t.id] = it.snap
+	for _, t := range tenants {
+		select {
+		case t.gate <- struct{}{}:
+		default:
 			continue
 		}
-		select {
-		case it.t.gate <- struct{}{}:
-			p.mu.Lock()
-			sess := it.t.sess
-			p.mu.Unlock()
-			if sess != nil {
-				if img, err := sess.Snapshot(); err == nil {
-					out[it.t.id] = img
-				}
-			}
-			<-it.t.gate
-		default:
+		p.mu.Lock()
+		sess, snap := t.sess, t.snap
+		p.mu.Unlock()
+		var img []byte
+		var err error
+		switch {
+		case sess != nil:
+			img, err = sess.Snapshot()
+		case snap != nil:
+			img, err = p.portableImage(t, snap)
 		}
+		if err == nil && img != nil {
+			out[t.id] = img
+		}
+		p.release(t)
 	}
 	return out
+}
+
+// portableImage turns a tenant's eviction image, which leaves the plan
+// cache to the pool, into one that carries it: the image is restored into
+// a throwaway session, the shared store attached, and the session
+// re-snapshotted. Only images leaving the process need this, so the cost
+// lands on drain, not on the eviction path.
+func (p *Pool) portableImage(t *tenant, snap []byte) ([]byte, error) {
+	if t.learnID == "" {
+		return snap, nil
+	}
+	res := p.arenas.get(t.arenaFP, t.base.Topo)
+	sess, err := core.RestoreSessionWith(t.base.Topo, t.base.Specs, t.opts, snap, res)
+	if err != nil {
+		return nil, err
+	}
+	p.attachLearning(t, sess)
+	return sess.Snapshot()
 }
 
 // ConfigOf returns a tenant's current configuration (for tests and

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"netupdate/internal/config"
@@ -98,6 +99,171 @@ func TestEvictionSnapshotRestoreByteIdentity(t *testing.T) {
 	ps := evicting.Stats()
 	if ps.SnapshotRestores != 1 || ps.ColdRebuilds != 0 || ps.Evictions == 0 {
 		t.Fatalf("pool stats = %+v", ps)
+	}
+}
+
+// TestEvictionKeepsLearningInPool: an eviction image leaves the plan
+// cache out — the tenant's shared store stays in the pool — so it is
+// smaller than a live export, and the restored session answers a repeat
+// from that store with its entry count untouched by the round trip.
+func TestEvictionKeepsLearningInPool(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
+	ctx := context.Background()
+	a, err := p.Register(testSpec("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := diamondDeltas()
+	for _, d := range deltas[:2] { // there and back: alpha is at its initial route
+		if _, err := p.Synthesize(ctx, a.ID, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := p.SnapshotTenant(ctx, a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ten := p.tenants[a.ID]
+	store := p.learn.get(ten.learnID)
+	entries := store.Stats().Entries
+	if entries == 0 {
+		t.Fatal("no plans cached before eviction")
+	}
+
+	if _, err := p.Register(testSpec("beta")); err != nil { // evicts alpha
+		t.Fatal(err)
+	}
+	st, err := p.TenantStats(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Warm || st.SnapshotBytes == 0 {
+		t.Fatalf("alpha not evicted with an image: %+v", st)
+	}
+	if st.SnapshotBytes >= len(live) {
+		t.Fatalf("eviction image %d bytes, live export %d: cache not left out", st.SnapshotBytes, len(live))
+	}
+	p.mu.Lock()
+	held := ten.snap
+	p.mu.Unlock()
+	probe, err := core.RestoreSession(ten.base.Topo, ten.base.Specs, ten.opts, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.Cache() != nil {
+		t.Fatal("eviction image carries a plan-cache section")
+	}
+
+	hitsBefore := store.Stats().Hits
+	plan, err := p.Synthesize(ctx, a.ID, deltas[2]) // repeats deltas[0]'s instance
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Stats.CacheHit || store.Stats().Hits != hitsBefore+1 {
+		t.Fatal("restored session missed the shared store")
+	}
+	if st, _ := p.TenantStats(a.ID); st.SnapshotRestores != 1 || st.ColdRebuilds != 0 {
+		t.Fatalf("resume not served by restore: %+v", st)
+	}
+	if got := store.Stats().Entries; got != entries {
+		t.Fatalf("evict/restore changed the shared store: %d entries, want %d", got, entries)
+	}
+}
+
+// TestEvictionCaptureOffLock: while an eviction encodes its victim's
+// image, the pool mutex is free — stats and other tenants' admission go
+// on — and a request for the victim waits on its gate until the image is
+// published, so it resumes by restore, never by a cold rebuild.
+func TestEvictionCaptureOffLock(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 2, MaxSessions: 1})
+	ctx := context.Background()
+	a, err := p.Register(testSpec("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capturing := make(chan struct{})
+	resume := make(chan struct{})
+	p.beforeCapture = func() {
+		p.beforeCapture = nil // only the first eviction pauses
+		close(capturing)
+		<-resume
+	}
+	registered := make(chan error, 1)
+	go func() { // evicts alpha
+		_, err := p.Register(testSpec("beta"))
+		registered <- err
+	}()
+	<-capturing
+
+	if st := p.Stats(); st.WarmSessions != 1 || st.Evictions != 1 {
+		t.Fatalf("stats mid-capture = %+v", st)
+	}
+	synthesized := make(chan error, 1)
+	go func() {
+		_, err := p.Synthesize(ctx, a.ID, reroute(0, 2, 3))
+		synthesized <- err
+	}()
+	for { // admitted, and now queued on alpha's gate
+		if st, _ := p.TenantStats(a.ID); st.Pending == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(resume)
+	if err := <-registered; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-synthesized; err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := p.TenantStats(a.ID); st.SnapshotRestores != 1 || st.ColdRebuilds != 0 {
+		t.Fatalf("victim not resumed from its published image: %+v", st)
+	}
+}
+
+// TestImagesLeavingProcessCarryCache: an evicted tenant's images handed
+// out by SnapshotAll and SnapshotTenant carry its shared plan cache, so a
+// pool with no learning of its own answers a repeat from it.
+func TestImagesLeavingProcessCarryCache(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1, MaxSessions: 1})
+	ctx := context.Background()
+	a, err := p.Register(testSpec("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := diamondDeltas()
+	for _, d := range deltas[:2] {
+		if _, err := p.Synthesize(ctx, a.ID, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Register(testSpec("beta")); err != nil { // evicts alpha
+		t.Fatal(err)
+	}
+	if st, _ := p.TenantStats(a.ID); st.Warm {
+		t.Fatal("alpha still warm after budget eviction")
+	}
+	all := p.SnapshotAll()
+	one, err := p.SnapshotTenant(ctx, a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, img := range map[string][]byte{"SnapshotAll": all[a.ID], "SnapshotTenant": one} {
+		fresh := NewPool(PoolOptions{Workers: 1})
+		if _, err := fresh.Register(testSpec("alpha")); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.InstallSnapshot(ctx, a.ID, img); err != nil {
+			t.Fatalf("%s: install: %v", name, err)
+		}
+		plan, err := fresh.Synthesize(ctx, a.ID, deltas[2]) // repeats deltas[0]'s instance
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !plan.Stats.CacheHit {
+			t.Fatalf("%s image did not carry the plan cache", name)
+		}
 	}
 }
 
@@ -195,7 +361,7 @@ func TestSnapshotHTTPMigration(t *testing.T) {
 	if diff := config.Diff(srcCur, dstCur); len(diff) != 0 {
 		t.Fatalf("migrated configuration differs on switches %v", diff)
 	}
-	for _, d := range deltas[1:] {
+	for i, d := range deltas[1:] {
 		sp, err := src.Synthesize(ctx, info.ID, d)
 		if err != nil {
 			t.Fatal(err)
@@ -206,6 +372,12 @@ func TestSnapshotHTTPMigration(t *testing.T) {
 		}
 		if sp.String() != dp.String() {
 			t.Fatal("migrated tenant diverged from its source")
+		}
+		// deltas[2] repeats the instance the source synthesized before the
+		// export; the receiver never saw it, so only the migrated cache
+		// can answer it.
+		if i+1 == 2 && !dp.Stats.CacheHit {
+			t.Fatal("migrated image did not carry the source's plan cache")
 		}
 	}
 	if st, _ := dst.TenantStats(info.ID); st.SnapshotRestores == 0 {
